@@ -173,9 +173,8 @@ let scale_case () =
         Hier_reduce.reduce_stats ~tol:1e-10 ~interface_tol:scale_interface_tol ~parts ~workers
           nl pts)
   in
-  (* the pool is capped by the hardware and the part count, exactly as
-     Hier_reduce sizes it *)
-  let actual = max 1 (min (min workers (Domain.recommended_domain_count ())) parts) in
+  (* the pool Hier_reduce ran on, read from the library's own sizing rule *)
+  let actual = Par_kernel.pool_size ~workers st.Hier_reduce.parts in
   let speedup = flat_s /. Float.max hier_s 1e-9 in
   Printf.eprintf
     "[hier_bench]   hier: %.3f s at %d worker(s) [pool %d], order %d (interface %d -> %d): \

@@ -8,6 +8,17 @@ cd "$(dirname "$0")/.."
 echo "== dune build @all"
 dune build @all
 
+echo "== fork/join lint (domains spawn only in Par_kernel and the daemon's Scheduler)"
+# every parallel layer runs on Par_kernel.run_tasks; a second hand-written
+# pool (spawn loop or atomic chunk counter) elsewhere under lib/ fails CI
+STRAY=$(grep -rnE 'Domain\.spawn|Atomic\.fetch_and_add' lib \
+    | grep -vE '^lib/la/(par_kernel|scheduler)\.ml:' || true)
+if [ -n "$STRAY" ]; then
+    echo "$STRAY" >&2
+    echo "fork/join outside lib/la/par_kernel.ml and lib/la/scheduler.ml: use Par_kernel.run_tasks" >&2
+    exit 1
+fi
+
 echo "== dune runtest"
 OCAMLRUNPARAM=b dune runtest
 
@@ -62,6 +73,15 @@ dune exec bin/pmtbr_cli.exe -- reduce --circuit rc-mesh --size 6 --method tbr-pa
 # the exported netlist is a valid circuit source in its own right
 dune exec bin/pmtbr_cli.exe -- info --spice "$EXPORT_NL"
 rm -f "$EXPORT_NL"
+
+echo "== pmtbr batch against a missing daemon (one-line error, non-zero exit)"
+if NO_DAEMON=$(dune exec bin/pmtbr_cli.exe -- batch --socket ".ci_no_daemon_$$.sock" --ping 2>&1)
+then
+    echo "batch against a missing socket exited 0" >&2; exit 1
+fi
+case "$NO_DAEMON" in
+    *"uncaught exception"*) echo "$NO_DAEMON" >&2; echo "batch leaked an uncaught exception" >&2; exit 1 ;;
+esac
 
 echo "== reduction-service daemon round trip (pmtbr serve / pmtbr batch)"
 SOCK=".ci_serve_$$.sock"

@@ -953,7 +953,13 @@ let batch_cmd =
         (run_batch_inner socket ping server_stats shutdown circuit spice size ports seed meth
            partition max_part_states interface_tol band tol order samples repeat assert_warm
            export_out)
-    with Failure msg -> Error msg
+    with
+    | Failure msg -> Error msg
+    | Unix.Unix_error (err, "connect", _) ->
+        (* no daemon at that path: a user error, not an internal one *)
+        Printf.eprintf "pmtbr: cannot connect to daemon at %s: %s\n%!" socket
+          (Unix.error_message err);
+        exit 1
   in
   Cmd.v (Cmd.info "batch" ~doc)
     Term.(

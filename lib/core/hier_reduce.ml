@@ -25,12 +25,14 @@
    the weight-scaled realified columns, and projects the trailing
    interface block through the dominant left subspace W with the
    congruence blkdiag(I, W).  Couplings are contracted *through* W but
-   never sketched (PR 9 measured that cliff); interior blocks are
+   never sketched (a random coupling sketch measured as an accuracy
+   cliff, see DESIGN.md); interior blocks are
    untouched; with [tol] at zero rank selection keeps everything and the
    result is the exact-interface model again.
 
-   Subdomains are fanned across the shared [Scheduler] domain pool.  Each
-   subdomain job runs its solver and dense kernels with [workers:1] and
+   Subdomains fan out through [Par_kernel.run_tasks], the fork/join every
+   parallel layer shares.  Each subdomain task runs its solver and dense
+   kernels with [workers:1] and
    everything it computes is a pure function of (partition, points,
    order/tol) — never of the pool size or the completion order — so the
    recombined ROM is bitwise-identical for any worker count, the same
@@ -241,27 +243,11 @@ let assemble (pt : Partition.t) (blks : blocks array) =
 let recombine ?(workers = 1) (pt : Partition.t) (bases : Mat.t array) =
   let k = Array.length pt.Partition.parts in
   if Array.length bases <> k then invalid_arg "Hier_reduce.recombine: one basis per part";
-  let blks = Array.make k None in
-  let run i = blks.(i) <- Some (project_part pt i bases.(i)) in
-  let nw = max 1 (min workers k) in
-  if nw <= 1 then
-    for i = 0 to k - 1 do
-      run i
-    done
-  else begin
-    let pool = Scheduler.create ~workers:nw run in
-    for i = 0 to k - 1 do
-      ignore (Scheduler.submit pool i)
-    done;
-    Scheduler.stop pool
-  end;
-  assemble pt
-    (Array.mapi
-       (fun i b ->
-         match b with
-         | Some blk -> blk
-         | None -> invalid_arg (Printf.sprintf "Hier_reduce.recombine: part %d never projected" i))
-       blks)
+  let blks, _ =
+    Par_kernel.run_tasks ~workers ~context:"the hierarchical recombination pool" k (fun i ->
+        project_part pt i bases.(i))
+  in
+  assemble pt blks
 
 (* ------------------------------------------------------------------ *)
 (* Interface compression (second-pass PMTBR over the interface states)  *)
@@ -321,55 +307,26 @@ let compress_interface ?(workers = 1) ~tol (pt : Partition.t) (rom : Dss.t) poin
 (* Fan-out driver                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let reduce_partitioned ?order ?tol ?interface_tol ?workers ?(oversubscribe = false)
-    (pt : Partition.t) points =
+let reduce_partitioned ?order ?tol ?interface_tol ?workers ?oversubscribe (pt : Partition.t)
+    points =
   let k = Array.length pt.Partition.parts in
-  let requested = match workers with Some w -> w | None -> Par_kernel.default_workers () in
-  let cap = if oversubscribe then requested else Domain.recommended_domain_count () in
-  let nw = max 1 (min (min requested cap) k) in
-  if requested > 1 && nw = 1 && k > 1 then
-    Par_kernel.warn_worker_collapse ~context:"the hierarchical subdomain pool" ~requested ();
-  let results : ((sub * blocks), exn) result option array = Array.make k None in
-  let walls = Array.make k 0.0 in
-  (* one job = sample + basis + congruence blocks: all the O(interior)
+  (* one task = sample + basis + congruence blocks: all the O(interior)
      work, so the serial stages below never touch the mesh *)
   let run i =
     let t0 = Unix.gettimeofday () in
-    let r =
-      try
-        let s = reduce_part ?order ?tol pt.Partition.parts.(i) points in
-        Ok (s, project_part pt i s.basis)
-      with e -> Error e
-    in
-    walls.(i) <- Unix.gettimeofday () -. t0;
-    results.(i) <- Some r
+    let s = reduce_part ?order ?tol pt.Partition.parts.(i) points in
+    let blk = project_part pt i s.basis in
+    (s, blk, Unix.gettimeofday () -. t0)
   in
   let t_fan = Unix.gettimeofday () in
-  if nw <= 1 then
-    for i = 0 to k - 1 do
-      run i
-    done
-  else begin
-    let pool = Scheduler.create ~workers:nw run in
-    for i = 0 to k - 1 do
-      ignore (Scheduler.submit pool i)
-    done;
-    Scheduler.stop pool
-  end;
-  let sample_wall_s = Unix.gettimeofday () -. t_fan in
-  (* propagate the lowest-index failure, as Shift_engine does *)
-  let done_ =
-    Array.mapi
-      (fun i r ->
-        match r with
-        | Some (Ok sb) -> sb
-        | Some (Error e) -> raise e
-        | None -> invalid_arg (Printf.sprintf "Hier_reduce: subdomain %d never ran" i))
-      results
+  let done_, busy =
+    Par_kernel.run_tasks ?workers ?oversubscribe ~context:"the hierarchical subdomain pool" k run
   in
-  let subs = Array.map fst done_ in
+  let sample_wall_s = Unix.gettimeofday () -. t_fan in
+  let nw = Array.length busy in
+  let subs = Array.map (fun (s, _, _) -> s) done_ in
   let t_asm = Unix.gettimeofday () in
-  let rom = assemble pt (Array.map snd done_) in
+  let rom = assemble pt (Array.map (fun (_, b, _) -> b) done_) in
   let recombine_wall_s = Unix.gettimeofday () -. t_asm in
   let interface = Array.length pt.Partition.interface in
   let t_cmp = Unix.gettimeofday () in
@@ -391,7 +348,7 @@ let reduce_partitioned ?order ?tol ?interface_tol ?workers ?(oversubscribe = fal
       order = Dss.order rom;
       sub_orders = Array.map (fun s -> s.sub_order) subs;
       solves = Array.fold_left (fun acc (s : sub) -> acc + s.solves) 0 subs;
-      sub_wall_s = walls;
+      sub_wall_s = Array.map (fun (_, _, w) -> w) done_;
       partition_wall_s = 0.0;
       sample_wall_s;
       recombine_wall_s;
@@ -405,16 +362,16 @@ let timed_split f =
   let pt = f () in
   (pt, Unix.gettimeofday () -. t0)
 
-let reduce_stats ?order ?tol ?interface_tol ?workers ?oversubscribe ?sketch ~parts nl points =
-  let pt, pw = timed_split (fun () -> Partition.split ~parts ?sketch nl) in
+let reduce_stats ?order ?tol ?interface_tol ?workers ?oversubscribe ~parts nl points =
+  let pt, pw = timed_split (fun () -> Partition.split ~parts nl) in
   let rom, stats = reduce_partitioned ?order ?tol ?interface_tol ?workers ?oversubscribe pt points in
   (rom, { stats with partition_wall_s = pw })
 
-let reduce_auto_stats ?order ?tol ?interface_tol ?workers ?oversubscribe ?sketch ?depth_cap
+let reduce_auto_stats ?order ?tol ?interface_tol ?workers ?oversubscribe ?depth_cap
     ~max_states nl points =
-  let pt, pw = timed_split (fun () -> Partition.split_auto ~max_states ?depth_cap ?sketch nl) in
+  let pt, pw = timed_split (fun () -> Partition.split_auto ~max_states ?depth_cap nl) in
   let rom, stats = reduce_partitioned ?order ?tol ?interface_tol ?workers ?oversubscribe pt points in
   (rom, { stats with partition_wall_s = pw })
 
-let reduce ?order ?tol ?interface_tol ?workers ?oversubscribe ?sketch ~parts nl points =
-  fst (reduce_stats ?order ?tol ?interface_tol ?workers ?oversubscribe ?sketch ~parts nl points)
+let reduce ?order ?tol ?interface_tol ?workers ?oversubscribe ~parts nl points =
+  fst (reduce_stats ?order ?tol ?interface_tol ?workers ?oversubscribe ~parts nl points)

@@ -11,7 +11,7 @@
 
     Recombination is two-phase: {!project_part} computes one part's
     congruence blocks (all the O(interior) work) inside that part's
-    scheduler job, and the serial {!assemble} scatters the small dense
+    fan-out task, and the serial {!assemble} scatters the small dense
     blocks into the reduced pencil — an O(q^2) epilogue that never
     touches the mesh, so the recombination stage stays trivial even with
     one worker.
@@ -27,8 +27,9 @@
     subdomain interior, which is what lets networks beyond the flat
     path's reach complete.
 
-    {b Determinism.}  Subdomains fan across the shared
-    {!Pmtbr_la.Scheduler} pool but each job runs its solves and dense
+    {b Determinism.}  Subdomains fan out through
+    {!Pmtbr_la.Par_kernel.run_tasks}, the fork/join every parallel layer
+    shares, but each task runs its solves and dense
     kernels serially and computes a pure function of (partition, points,
     order/tol) — the recombined ROM is bitwise-identical for any
     [workers] (or [oversubscribe]) setting, the contract Shift_engine
@@ -97,7 +98,7 @@ val project_part : Partition.t -> int -> Mat.t -> blocks
 (** Congruence blocks of part [i] under basis [v]: the projected
     diagonal blocks, the couplings contracted with [v] on the interior
     side (interface side exact), and the restricted port maps.  Pure in
-    (partition, basis) — safe to run inside any scheduler job. *)
+    (partition, basis) — safe to run inside any fan-out task. *)
 
 val assemble : Partition.t -> blocks array -> Dss.t
 (** Scatter per-part blocks plus the verbatim interface block into the
@@ -105,9 +106,11 @@ val assemble : Partition.t -> blocks array -> Dss.t
     raises [Invalid_argument] unless given one block set per part. *)
 
 val recombine : ?workers:int -> Partition.t -> Mat.t array -> Dss.t
-(** {!project_part} for every part (fanned over a [Scheduler] pool when
-    [workers > 1]) then {!assemble}.  Bitwise worker-invariant.  Raises
-    [Invalid_argument] unless given one basis per part. *)
+(** {!project_part} for every part (fanned out through
+    {!Pmtbr_la.Par_kernel.run_tasks}; [workers] defaults to 1 and is
+    capped at the hardware) then {!assemble}.  Bitwise worker-invariant.
+    Raises [Invalid_argument] unless given one basis per part; a failing
+    part re-raises the lowest-index exception. *)
 
 val compress_interface :
   ?workers:int -> tol:float -> Partition.t -> Dss.t -> Sampling.point array -> Dss.t * int
@@ -124,22 +127,24 @@ val compress_interface :
 val reduce_partitioned :
   ?order:int -> ?tol:float -> ?interface_tol:float -> ?workers:int -> ?oversubscribe:bool ->
   Partition.t -> Sampling.point array -> Dss.t * stats
-(** Fan sample+basis+{!project_part} jobs over the subdomains on a
-    [Scheduler] pool of [min workers (recommended cap) parts] domains
-    ([oversubscribe] lifts the hardware cap, as in {!Shift_engine}),
-    {!assemble}, then {!compress_interface} when [interface_tol] is
-    given.  A subdomain failure re-raises the lowest-index exception
-    after the pool drains.  Bitwise worker-invariant. *)
+(** Fan sample+basis+{!project_part} tasks over the subdomains through
+    {!Pmtbr_la.Par_kernel.run_tasks}, on a pool sized by
+    {!Pmtbr_la.Par_kernel.pool_size} [?workers ?oversubscribe parts]
+    (hardware-capped unless [oversubscribe], as in {!Shift_engine}),
+    {!assemble}, then {!compress_interface} on the same pool size when
+    [interface_tol] is given.  A subdomain failure re-raises the
+    lowest-index exception after the pool drains.  Bitwise
+    worker-invariant. *)
 
 val reduce_stats :
   ?order:int -> ?tol:float -> ?interface_tol:float -> ?workers:int -> ?oversubscribe:bool ->
-  ?sketch:int -> parts:int -> Pmtbr_circuit.Netlist.t -> Sampling.point array -> Dss.t * stats
+  parts:int -> Pmtbr_circuit.Netlist.t -> Sampling.point array -> Dss.t * stats
 (** {!Partition.split} then {!reduce_partitioned} (with the dissection
     wall filled in). *)
 
 val reduce_auto_stats :
   ?order:int -> ?tol:float -> ?interface_tol:float -> ?workers:int -> ?oversubscribe:bool ->
-  ?sketch:int -> ?depth_cap:int -> max_states:int ->
+  ?depth_cap:int -> max_states:int ->
   Pmtbr_circuit.Netlist.t -> Sampling.point array -> Dss.t * stats
 (** {!Partition.split_auto} then {!reduce_partitioned}: the recursive
     budget-driven path — parts multiply until every interior fits
@@ -147,5 +152,5 @@ val reduce_auto_stats :
 
 val reduce :
   ?order:int -> ?tol:float -> ?interface_tol:float -> ?workers:int -> ?oversubscribe:bool ->
-  ?sketch:int -> parts:int -> Pmtbr_circuit.Netlist.t -> Sampling.point array -> Dss.t
+  parts:int -> Pmtbr_circuit.Netlist.t -> Sampling.point array -> Dss.t
 (** {!reduce_stats} without the counters. *)

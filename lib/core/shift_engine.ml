@@ -15,9 +15,9 @@
      never of which worker computed it or when.  Parallel and serial runs
      therefore produce bitwise-identical matrices, which CI enforces.
 
-   Work distribution is a chunked queue on an atomic counter: workers grab
-   the next [chunk] task indices until the queue drains, so slow shifts
-   (fallback refactorisations, fill-heavy corners) do not stall a static
+   Work distribution is [Par_kernel.run_tasks]: workers grab the next
+   [chunk] task indices until the queue drains, so slow shifts (fallback
+   refactorisations, fill-heavy corners) do not stall a static
    partition. *)
 
 open Pmtbr_la
@@ -69,14 +69,15 @@ let is_effectively_real (s : Complex.t) =
   Float.abs s.Complex.im <= 1e-300 +. (1e-12 *. Float.abs s.Complex.re)
 
 (* ------------------------------------------------------------------ *)
-(* The worker pool                                                     *)
+(* The solve loop                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let now () = Unix.gettimeofday ()
 
 (* One task: factor (numeric refactorisation through the shared handle),
-   solve, realify.  Pure in (ms, t); timings are observational only. *)
-let run_task ms (t : task) ~factor_acc ~solve_acc =
+   solve, realify.  Pure in (ms, t); the factor and solve seconds it
+   returns are observational only. *)
+let run_task ms (t : task) =
   let t0 = now () in
   let f = Dss.multi_factor ms ~hermitian:t.hermitian t.point.Sampling.s in
   let t1 = now () in
@@ -85,30 +86,28 @@ let run_task ms (t : task) ~factor_acc ~solve_acc =
     realify_block ~weight:t.point.Sampling.weight cols
       ~is_real:(is_effectively_real t.point.Sampling.s)
   in
-  let t2 = now () in
-  factor_acc := !factor_acc +. (t1 -. t0);
-  solve_acc := !solve_acc +. (t2 -. t1);
-  block
+  (block, t1 -. t0, now () -. t1)
 
-let run ?workers ?(oversubscribe = false) ?(chunk = 1) ?ms sys (tasks : task array) =
+(* Single-pass assembly in task order: one allocation, one copy of each
+   block, instead of the O(total^2) repeated copying of an hcat fold. *)
+let assemble (blocks : Mat.t array) =
+  let n = blocks.(0).Mat.rows in
+  let total_cols = Array.fold_left (fun acc b -> acc + b.Mat.cols) 0 blocks in
+  let out = Mat.create n total_cols in
+  let off = ref 0 in
+  Array.iter
+    (fun (b : Mat.t) ->
+      assert (b.Mat.rows = n);
+      for i = 0 to n - 1 do
+        Array.blit b.Mat.data (i * b.Mat.cols) out.Mat.data ((i * total_cols) + !off) b.Mat.cols
+      done;
+      off := !off + b.Mat.cols)
+    blocks;
+  out
+
+let run ?workers ?oversubscribe ?chunk ?ms sys (tasks : task array) =
   let nt = Array.length tasks in
   if nt = 0 then invalid_arg "Shift_engine.run: no tasks";
-  if chunk < 1 then invalid_arg "Shift_engine.run: chunk must be >= 1";
-  let requested =
-    match workers with Some w when w >= 1 -> w | Some _ | None -> default_workers ()
-  in
-  (* Running more domains than cores is never a speedup in OCaml 5: every
-     minor collection synchronises all domains, and a descheduled domain
-     turns each sync into a scheduler round-trip.  So the pool is capped
-     at the hardware unless the caller explicitly opts out (tests do, to
-     exercise real multi-domain runs on any machine). *)
-  let cap = if oversubscribe then requested else min requested (default_workers ()) in
-  let nw = max 1 (min cap nt) in
-  (* an explicitly requested multi-worker pool that the hardware cap
-     squeezed down to one domain deserves a (once-per-process) warning:
-     the run is correct but effectively serial *)
-  if requested > 1 && nw = 1 && nt > 1 then
-    Par_kernel.warn_worker_collapse ~context:"the multi-shift solve pool" ~requested ();
   (* the template shift is the first task's point — independent of the
      worker count, so serial and parallel runs share it.  A caller that
      extends a sample set incrementally ([Sample_cache]) passes its own
@@ -118,85 +117,22 @@ let run ?workers ?(oversubscribe = false) ?(chunk = 1) ?ms sys (tasks : task arr
     | Some ms -> ms
     | None -> Dss.multi_shift ~template:tasks.(0).point.Sampling.s sys
   in
-  let blocks : Mat.t option array = Array.make nt None in
-  let failures : (int * exn) option array = Array.make nw None in
-  let factor_t = Array.make nw 0.0
-  and solve_t = Array.make nw 0.0
-  and busy_t = Array.make nw 0.0
-  and n_solved = Array.make nw 0 in
-  let next = Atomic.make 0 in
-  let work wid =
-    let factor_acc = ref 0.0 and solve_acc = ref 0.0 in
-    let solved = ref 0 in
-    let t_in = now () in
-    let running = ref true in
-    while !running do
-      let start = Atomic.fetch_and_add next chunk in
-      if start >= nt || failures.(wid) <> None then running := false
-      else
-        for i = start to min nt (start + chunk) - 1 do
-          if failures.(wid) = None then
-            match run_task ms tasks.(i) ~factor_acc ~solve_acc with
-            | block ->
-                blocks.(i) <- Some block;
-                incr solved
-            | exception e -> failures.(wid) <- Some (i, e)
-        done
-    done;
-    factor_t.(wid) <- !factor_acc;
-    solve_t.(wid) <- !solve_acc;
-    n_solved.(wid) <- !solved;
-    busy_t.(wid) <- now () -. t_in
-  in
   let t_start = now () in
-  if nw = 1 then work 0
-  else begin
-    let domains = Array.init nw (fun wid -> Domain.spawn (fun () -> work wid)) in
-    Array.iter Domain.join domains
-  end;
-  let wall = now () -. t_start in
-  (* propagate a worker failure deterministically: the one at the lowest
-     task index wins, whatever the scheduling was *)
-  let first_failure =
-    Array.fold_left
-      (fun acc f ->
-        match (acc, f) with
-        | None, f -> f
-        | Some _, None -> acc
-        | Some (i, _), Some (j, _) -> if j < i then f else acc)
-      None failures
+  let solved, busy_s =
+    Par_kernel.run_tasks ?workers ?oversubscribe ?chunk ~context:"the multi-shift solve pool" nt
+      (fun i -> run_task ms tasks.(i))
   in
-  (match first_failure with Some (_, e) -> raise e | None -> ());
-  (* Single-pass assembly in task order: one allocation, one copy of each
-     block, instead of the O(total^2) repeated copying of an hcat fold. *)
-  let zw =
-    let n = (Option.get blocks.(0)).Mat.rows in
-    let total_cols = Array.fold_left (fun acc b -> acc + (Option.get b).Mat.cols) 0 blocks in
-    let out = Mat.create n total_cols in
-    let off = ref 0 in
-    Array.iter
-      (fun b ->
-        let b = Option.get b in
-        assert (b.Mat.rows = n);
-        for i = 0 to n - 1 do
-          Array.blit b.Mat.data (i * b.Mat.cols) out.Mat.data ((i * total_cols) + !off)
-            b.Mat.cols
-        done;
-        off := !off + b.Mat.cols)
-      blocks;
-    out
-  in
-  let stats =
+  let wall_s = now () -. t_start in
+  let sum f = Array.fold_left (fun acc r -> acc +. f r) 0.0 solved in
+  ( assemble (Array.map (fun (b, _, _) -> b) solved),
     {
-      solves = Array.fold_left ( + ) 0 n_solved;
-      workers = nw;
-      factor_s = Array.fold_left ( +. ) 0.0 factor_t;
-      solve_s = Array.fold_left ( +. ) 0.0 solve_t;
-      wall_s = wall;
-      busy_s = busy_t;
-    }
-  in
-  (zw, stats)
+      solves = nt;
+      workers = Array.length busy_s;
+      factor_s = sum (fun (_, f, _) -> f);
+      solve_s = sum (fun (_, _, s) -> s);
+      wall_s;
+      busy_s;
+    } )
 
 (* ------------------------------------------------------------------ *)
 (* Sample-matrix builders                                              *)

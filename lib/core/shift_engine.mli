@@ -1,9 +1,10 @@
 (** Parallel multi-shift sampling engine.
 
     Runs the shifted-solve loop [z_k = (s_k E - A)^{-1} B] — the entire
-    cost of PMTBR (paper eq. 8-11) — over an OCaml 5 domain pool with a
-    chunked work queue, reusing one symbolic sparse-LU analysis across all
-    shifts (see {!Pmtbr_sparse.Shifted.prepare}).
+    cost of PMTBR (paper eq. 8-11) — through
+    {!Pmtbr_la.Par_kernel.run_tasks}, the repository's one fork/join,
+    reusing one symbolic sparse-LU analysis across all shifts (see
+    {!Pmtbr_sparse.Shifted.prepare}).
 
     {b Determinism contract}: each sample block is a pure function of the
     system and its task, and blocks are assembled in task order, so runs
@@ -22,15 +23,15 @@ type task = {
 type stats = {
   solves : int;  (** completed shifted solves *)
   workers : int;  (** pool size actually used *)
-  factor_s : float;  (** summed per-worker factorisation seconds *)
-  solve_s : float;  (** summed per-worker triangular-solve + realify seconds *)
+  factor_s : float;  (** summed per-task factorisation seconds *)
+  solve_s : float;  (** summed per-task triangular-solve + realify seconds *)
   wall_s : float;  (** wall-clock of the whole run *)
   busy_s : float array;  (** per-worker busy seconds, length [workers] *)
 }
 
 val default_workers : unit -> int
-(** [Domain.recommended_domain_count ()]: the pool size used when
-    [?workers] is omitted or [<= 0]. *)
+(** [Domain.recommended_domain_count ()]: the hardware cap on the pool
+    (see {!run}). *)
 
 val utilisation : stats -> float
 (** Mean worker utilisation in [0, 1]: total busy time over
@@ -46,6 +47,8 @@ val run :
   task array ->
   Mat.t * stats
 (** Solve every task and concatenate the realified blocks in task order.
+    The pool is sized by {!Pmtbr_la.Par_kernel.pool_size}: an omitted or
+    [<= 0] [workers] means {!Pmtbr_la.Par_kernel.default_workers}, and
     [workers = 1] runs inline in the calling domain (the serial path);
     [chunk] (default 1) is the number of consecutive tasks a worker claims
     per queue round-trip.  The first task's point is the template shift

@@ -9,8 +9,8 @@
 
     All [build*] functions run through {!Shift_engine}: one shared
     symbolic factorisation analysis, shifts distributed over [?workers]
-    domains (default {!Shift_engine.default_workers}), results identical
-    for every worker count.
+    domains (default {!Pmtbr_la.Par_kernel.default_workers}), results
+    identical for every worker count.
 
     The reduction pipelines run their samples through {!Sample_cache}
     sources instead (one cache source per builder below); these one-shot

@@ -47,27 +47,90 @@ let set_default_workers w =
   | Some _ | None -> ());
   installed_workers := w
 
+(* ------------------------------------------------------------------ *)
+(* Fork/join                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Running more domains than cores is never a speedup in OCaml 5: every
+   minor collection synchronises all domains, and a descheduled domain
+   turns each sync into a scheduler round-trip.  So the pool is capped at
+   the hardware unless the caller explicitly opts out (the determinism
+   tests do, to exercise real multi-domain runs on any machine). *)
+let resolve ?workers ?(oversubscribe = false) n =
+  let requested =
+    match workers with Some w when w >= 1 -> w | Some _ | None -> default_workers ()
+  in
+  let cap =
+    if oversubscribe then requested else min requested (Domain.recommended_domain_count ())
+  in
+  (requested, max 1 (min cap n))
+
+let pool_size ?workers ?oversubscribe n = snd (resolve ?workers ?oversubscribe n)
+
+let run_tasks ?workers ?oversubscribe ?(chunk = 1) ~context n task =
+  if chunk < 1 then invalid_arg "Par_kernel.run_tasks: chunk must be >= 1";
+  let requested, nw = resolve ?workers ?oversubscribe n in
+  if requested > 1 && nw = 1 && n > 1 then warn_worker_collapse ~context ~requested ();
+  let results = Array.make n None in
+  let failures = Array.make nw None in
+  let busy = Array.make nw 0.0 in
+  let next = Atomic.make 0 in
+  (* A worker stops at its own first failure; the others drain the queue.
+     Indices are claimed in ascending order, so every index below the
+     lowest failure was claimed by a worker that had not failed yet — it
+     ran, and the surfaced exception does not depend on the schedule. *)
+  let work wid =
+    let t_in = Unix.gettimeofday () in
+    let running = ref true in
+    while !running do
+      let start = Atomic.fetch_and_add next chunk in
+      if start >= n then running := false
+      else
+        for i = start to min n (start + chunk) - 1 do
+          if !running then
+            match task i with
+            | r -> results.(i) <- Some r
+            | exception e ->
+                failures.(wid) <- Some (i, e, Printexc.get_raw_backtrace ());
+                running := false
+        done
+    done;
+    busy.(wid) <- Unix.gettimeofday () -. t_in
+  in
+  let domains = Array.init (nw - 1) (fun w -> Domain.spawn (fun () -> work (w + 1))) in
+  work 0;
+  Array.iter Domain.join domains;
+  let lowest =
+    Array.fold_left
+      (fun acc f ->
+        match (acc, f) with
+        | Some (i, _, _), Some (j, _, _) when j < i -> f
+        | None, f -> f
+        | acc, _ -> acc)
+      None failures
+  in
+  (match lowest with Some (_, e, bt) -> Printexc.raise_with_backtrace e bt | None -> ());
+  (Array.map Option.get results, busy)
+
 (* Minimum scalar-op count before a kernel spawns domains at all: below
    this the spawn/join overhead dwarfs the loop.  A shape-only cutover —
    never a measurement — so it cannot break worker-invariance. *)
 let grain = 1 lsl 16
 
+(* The kernels keep their pool uncapped ([oversubscribe]): an explicit
+   [workers] is honoured as given, which is also how the bitwise tests
+   drive more domains than the host has cores. *)
 let parallel_ranges ?workers ~work n f =
   if n > 0 then begin
-    let requested = match workers with Some w -> w | None -> default_workers () in
-    let nw = min (max 1 requested) n in
-    if nw <= 1 || work < grain then f 0 n
+    let nw = if work < grain then 1 else pool_size ?workers ~oversubscribe:true n in
+    if nw = 1 then f 0 n
     else begin
-      (* contiguous chunks: the first [n mod nw] get one extra element *)
+      (* contiguous ranges: the first [n mod nw] get one extra element *)
       let base = n / nw and rem = n mod nw in
       let bound t = (t * base) + min t rem in
-      let doms =
-        Array.init (nw - 1) (fun t ->
-            let t = t + 1 in
-            Domain.spawn (fun () -> f (bound t) (bound (t + 1))))
-      in
-      f (bound 0) (bound 1);
-      Array.iter Domain.join doms
+      ignore
+        (run_tasks ~workers:nw ~oversubscribe:true ~context:"a dense kernel" nw (fun t ->
+             f (bound t) (bound (t + 1))))
     end
   end
 

@@ -1,10 +1,11 @@
 (** Domain-parallel, cache-blocked dense kernels for the reduction stage.
 
-    PRs 1-3 parallelised the shifted-solve side of PMTBR over an OCaml 5
-    domain pool; this layer does the same for the dense reduction stage
+    Home of the repository's one fork/join primitive, {!run_tasks}, and
+    its sizing rule, {!pool_size}.  The dense reduction stage runs on it
     (GEMM/gram/mv panels, blocked Householder QR, round-robin one-sided
     Jacobi SVD) so the SVD/QR of the tall-skinny sample factors no longer
-    caps the end-to-end speedup.
+    caps the end-to-end speedup, and so do the shifted-solve, sweep and
+    subdomain loops above it.
 
     {b Determinism contract} (the same one {!Pmtbr_core.Shift_engine}
     advertises): every kernel uses a fixed tile/panel/round decomposition
@@ -23,13 +24,15 @@
     operand shape, so it cannot break worker-invariance. *)
 
 val default_workers : unit -> int
-(** The pool size used when [?workers] is omitted: the value installed by
-    {!set_default_workers}, else [Domain.recommended_domain_count ()]. *)
+(** The worker count {!pool_size} requests when [?workers] is omitted, in
+    every layer: the value installed by {!set_default_workers}, else
+    [Domain.recommended_domain_count ()]. *)
 
 val set_default_workers : int option -> unit
-(** Install a process-wide default worker count for all kernels ([None]
-    restores the hardware default).  The CLI [--workers] flag routes
-    through here so one flag covers both the solve and reduction stages.
+(** Install a process-wide default worker count for every {!pool_size}
+    call ([None] restores the hardware default).  The CLI [--workers] flag
+    routes through here so one flag covers both the solve and reduction
+    stages.
     Results are bitwise-identical for any setting.  Installing a
     multi-worker default on a host whose
     [Domain.recommended_domain_count] is 1 triggers
@@ -47,14 +50,54 @@ val warn_worker_collapse :
     callers invoke this only after deciding the pool really did run
     serially. *)
 
+(** {1 Fork/join}
+
+    The one fork/join every parallel layer runs on: the dense kernels
+    below, the multi-shift solve loop ({!Pmtbr_core.Shift_engine}), the
+    frequency sweep ({!Pmtbr_lti.Sweep_engine}) and the subdomain fan-out
+    ({!Pmtbr_core.Hier_reduce}).  Only the daemon's long-lived connection
+    pool ({!Scheduler}) spawns domains elsewhere. *)
+
+val pool_size : ?workers:int -> ?oversubscribe:bool -> int -> int
+(** The sizing rule for [n] tasks: an explicit [workers >= 1] wins, else
+    {!default_workers}; the result is capped at
+    [Domain.recommended_domain_count ()] unless [oversubscribe], then at
+    [n], and is never below 1.  Pure — {!run_tasks} uses exactly this
+    value as its pool size. *)
+
+val run_tasks :
+  ?workers:int ->
+  ?oversubscribe:bool ->
+  ?chunk:int ->
+  context:string ->
+  int ->
+  (int -> 'a) ->
+  'a array * float array
+(** [run_tasks ~context n task] runs [task 0 .. task (n - 1)] on a pool of
+    [pool_size ?workers ?oversubscribe n] domains: the calling domain is
+    worker 0 and the others are spawned for this call.  Workers claim
+    [chunk] (default 1) consecutive indices at a time from one atomic
+    counter, so a slow task does not stall a static partition.  Returns
+    the results in index order and each worker's busy seconds (one slot
+    per pool worker).
+
+    If tasks raise, the exception of the lowest failing index is
+    re-raised once every worker has stopped; every lower index has run by
+    then, so which exception surfaces never depends on the schedule.  A
+    requested multi-worker pool that the hardware cap squeezes to one
+    domain triggers {!warn_worker_collapse} with [context].  Calls may
+    nest (a task may itself call [run_tasks]).  Raises [Invalid_argument]
+    on [chunk < 1]. *)
+
 val parallel_ranges : ?workers:int -> work:int -> int -> (int -> int -> unit) -> unit
 (** [parallel_ranges ~work n f] partitions [0..n-1] into at most [workers]
-    contiguous ranges and runs [f lo hi] on each, in parallel when the
-    estimated scalar-op count [work] is large enough to pay for domain
-    spawns.  [f] must write only to range-private slots.  The partition
-    depends only on [n] and the resolved worker count; correctness (and
-    bitwise output, provided [f]'s writes are disjoint and per-index
-    deterministic) does not. *)
+    contiguous ranges and runs [f lo hi] on each as one {!run_tasks} task,
+    in parallel when the estimated scalar-op count [work] is large enough
+    to pay for domain spawns.  The pool is not capped at the hardware: an
+    explicit [workers] is honoured as given.  [f] must write only to
+    range-private slots.  The partition depends only on [n] and the
+    resolved worker count; correctness (and bitwise output, provided
+    [f]'s writes are disjoint and per-index deterministic) does not. *)
 
 val dot : float array -> float array -> float
 (** Cache-blocked dot product: per-block partial sums in index order,

@@ -14,12 +14,12 @@
 
    with s T - H upper Hessenberg for every s.
 
-   Grid points fan out across a domain pool with the same chunked
-   atomic-counter queue as Shift_engine, under the same contract: each
+   Grid points fan out through Par_kernel.run_tasks, the fork/join the
+   multi-shift solve loop also runs on, under the same contract: each
    response is a pure function of (plan, s), results are assembled in
-   grid order, and a worker failure is re-raised deterministically (the
-   one at the lowest grid index wins).  Serial and parallel sweeps are
-   bitwise identical. *)
+   grid order, and a failure is re-raised deterministically (the one at
+   the lowest grid index wins).  Serial and parallel sweeps are bitwise
+   identical. *)
 
 open Pmtbr_la
 
@@ -44,8 +44,6 @@ type stats = {
   wall_s : float;
   busy_s : float array;
 }
-
-let default_workers () = Domain.recommended_domain_count ()
 
 let utilisation st =
   if st.wall_s <= 0.0 || Array.length st.busy_s = 0 then 0.0
@@ -267,8 +265,9 @@ let prepare ?template (sys : Dss.t) =
 
 let tier = function Sparse_plan _ -> Replay | Hess_plan _ -> Hessenberg
 
-(* One grid point.  Pure in (plan, s); timings are observational only. *)
-let eval_timed plan (s : Complex.t) ~factor_acc ~solve_acc =
+(* One grid point, with its factor and solve seconds.  Pure in
+   (plan, s); the timings are observational only. *)
+let eval_timed plan (s : Complex.t) =
   match plan with
   | Sparse_plan p ->
       let t0 = now () in
@@ -276,19 +275,15 @@ let eval_timed plan (s : Complex.t) ~factor_acc ~solve_acc =
       let t1 = now () in
       let z = Dss.multi_solve_factored f ~hermitian:false p.b in
       let h = sparse_output p z in
-      let t2 = now () in
-      factor_acc := !factor_acc +. (t1 -. t0);
-      solve_acc := !solve_acc +. (t2 -. t1);
-      h
+      (h, t1 -. t0, now () -. t1)
   | Hess_plan p ->
       let t0 = now () in
       let h = hess_eval p s in
-      solve_acc := !solve_acc +. (now () -. t0);
-      h
+      (h, 0.0, now () -. t0)
 
 let eval plan s =
-  let dead = ref 0.0 in
-  eval_timed plan s ~factor_acc:dead ~solve_acc:dead
+  let h, _, _ = eval_timed plan s in
+  h
 
 let eval_jw plan omega = eval plan { Complex.re = 0.0; im = omega }
 
@@ -304,74 +299,23 @@ let default_chunk = function Sparse_plan _ -> 1 | Hess_plan _ -> 16
 
 (* Evaluate grid indices [lo, hi) into a fresh array (slot [k] holds
    point [lo + k]), fanning across the pool. *)
-let run_block ?workers ?(oversubscribe = false) ?chunk plan (omegas : float array) lo hi =
-  let nt = hi - lo in
+let run_block ?workers ?oversubscribe ?chunk plan (omegas : float array) lo hi =
   let chunk = match chunk with Some c -> c | None -> default_chunk plan in
-  if chunk < 1 then invalid_arg "Sweep_engine: chunk must be >= 1";
-  let requested =
-    match workers with Some w when w >= 1 -> w | Some _ | None -> default_workers ()
-  in
-  let cap = if oversubscribe then requested else min requested (default_workers ()) in
-  let nw = max 1 (min cap nt) in
-  let out : Cmat.t array = Array.make nt (Cmat.create 0 0) in
-  let failures : (int * exn) option array = Array.make nw None in
-  let factor_t = Array.make nw 0.0
-  and solve_t = Array.make nw 0.0
-  and busy_t = Array.make nw 0.0
-  and n_done = Array.make nw 0 in
-  let next = Atomic.make 0 in
-  let work wid =
-    let factor_acc = ref 0.0 and solve_acc = ref 0.0 in
-    let solved = ref 0 in
-    let t_in = now () in
-    let running = ref true in
-    while !running do
-      let start = Atomic.fetch_and_add next chunk in
-      if start >= nt || failures.(wid) <> None then running := false
-      else
-        for k = start to min nt (start + chunk) - 1 do
-          if failures.(wid) = None then
-            match
-              eval_timed plan
-                { Complex.re = 0.0; im = omegas.(lo + k) }
-                ~factor_acc ~solve_acc
-            with
-            | h ->
-                out.(k) <- h;
-                incr solved
-            | exception e -> failures.(wid) <- Some (k, e)
-        done
-    done;
-    factor_t.(wid) <- !factor_acc;
-    solve_t.(wid) <- !solve_acc;
-    n_done.(wid) <- !solved;
-    busy_t.(wid) <- now () -. t_in
-  in
   let t_start = now () in
-  if nw = 1 then work 0
-  else begin
-    let domains = Array.init nw (fun wid -> Domain.spawn (fun () -> work wid)) in
-    Array.iter Domain.join domains
-  end;
-  let wall = now () -. t_start in
-  let first_failure =
-    Array.fold_left
-      (fun acc f ->
-        match (acc, f) with
-        | None, f -> f
-        | Some _, None -> acc
-        | Some (i, _), Some (j, _) -> if j < i then f else acc)
-      None failures
+  let timed, busy_s =
+    Par_kernel.run_tasks ?workers ?oversubscribe ~chunk ~context:"the frequency-sweep pool"
+      (hi - lo) (fun k -> eval_timed plan { Complex.re = 0.0; im = omegas.(lo + k) })
   in
-  (match first_failure with Some (_, e) -> raise e | None -> ());
-  ( out,
+  let wall_s = now () -. t_start in
+  let sum f = Array.fold_left (fun acc r -> acc +. f r) 0.0 timed in
+  ( Array.map (fun (h, _, _) -> h) timed,
     {
-      points = Array.fold_left ( + ) 0 n_done;
-      workers = nw;
-      factor_s = Array.fold_left ( +. ) 0.0 factor_t;
-      solve_s = Array.fold_left ( +. ) 0.0 solve_t;
-      wall_s = wall;
-      busy_s = busy_t;
+      points = hi - lo;
+      workers = Array.length busy_s;
+      factor_s = sum (fun (_, f, _) -> f);
+      solve_s = sum (fun (_, _, s) -> s);
+      wall_s;
+      busy_s;
     } )
 
 let empty_stats = { points = 0; workers = 0; factor_s = 0.0; solve_s = 0.0; wall_s = 0.0; busy_s = [||] }

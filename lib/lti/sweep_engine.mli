@@ -18,11 +18,13 @@
       grid point then costs one O(q^2) Hessenberg elimination and back
       substitution instead of an O(q^3) dense LU.
 
-    Grid points fan out across an OCaml 5 domain pool under the same
-    shape-only bitwise worker-invariance contract as [Shift_engine] and
-    [Par_kernel]: each response is a pure function of (plan, s) — never of
-    the worker count, chunk size or scheduling — and results are
-    assembled in grid order.  CI enforces serial == parallel bitwise. *)
+    Grid points fan out through {!Pmtbr_la.Par_kernel.run_tasks} — the
+    fork/join [Shift_engine] also runs on, sized by the same
+    {!Pmtbr_la.Par_kernel.pool_size} rule — under the same shape-only
+    bitwise worker-invariance contract: each response is a pure function
+    of (plan, s) — never of the worker count, chunk size or scheduling —
+    and results are assembled in grid order.  CI enforces serial ==
+    parallel bitwise. *)
 
 open Pmtbr_la
 
@@ -104,6 +106,3 @@ val iteri :
 
 val utilisation : stats -> float
 (** Mean busy fraction of the pool, in [0, 1]. *)
-
-val default_workers : unit -> int
-(** The hardware pool cap, [Domain.recommended_domain_count ()]. *)

@@ -1,6 +1,9 @@
 (** The reduction daemon: a Unix-domain stream socket speaking
     {!Protocol} frames, answering jobs from a {!Store} shared by a
-    {!Scheduler} pool of connection workers.
+    long-lived {!Pmtbr_la.Scheduler} pool of connection workers — the one
+    domain pool outside {!Pmtbr_la.Par_kernel.run_tasks}, kept because a
+    connection is a queue of work arriving over time, not a fixed task
+    set.
 
     Lifecycle: {!run} binds the socket (replacing a stale socket file left
     by a killed process), accepts until a [shutdown] job arrives, then

@@ -3,8 +3,10 @@
    Householder QR (including bitwise equality with the naive [Mat]
    kernels and the unblocked serial sweep), agreement of the round-robin
    Jacobi schedule with the serial cyclic reference to 1e-12 relative
-   accuracy, and end-to-end worker-invariance of the adaptive reduction
-   drivers now that [?workers] also sizes the reduction-stage pool. *)
+   accuracy, end-to-end worker-invariance of the adaptive reduction
+   drivers now that [?workers] also sizes the reduction-stage pool, and
+   the fork/join primitive [run_tasks] itself: index order, lowest-index
+   failure, pool size, the serial path and nesting. *)
 
 open Pmtbr_la
 open Pmtbr_circuit
@@ -203,6 +205,83 @@ let test_cross_gramian_worker_invariant () =
     "basis bitwise" true
     (bitwise_equal r1.Cross_gramian.basis r4.Cross_gramian.basis)
 
+(* ------------------------------------------------------------------ *)
+(* The fork/join primitive itself                                      *)
+(* ------------------------------------------------------------------ *)
+
+let prop_run_tasks_index_order =
+  QCheck2.Test.make ~name:"run_tasks returns results in index order (any workers/chunk)"
+    ~count:40
+    QCheck2.Gen.(tup3 (int_range 0 120) (int_range 1 5) (int_range 1 9))
+    (fun (n, workers, chunk) ->
+      let results, busy =
+        Par_kernel.run_tasks ~workers ~oversubscribe:true ~chunk ~context:"test" n (fun i ->
+            (i * i) + 1)
+      in
+      results = Array.init n (fun i -> (i * i) + 1)
+      && Array.length busy = Par_kernel.pool_size ~workers ~oversubscribe:true n)
+
+exception Task_failed of int
+
+let test_run_tasks_lowest_failure () =
+  let failing = [ 7; 13; 29 ] in
+  List.iter
+    (fun (workers, chunk) ->
+      let n = 40 in
+      let ran = Array.make n false in
+      let raised =
+        match
+          Par_kernel.run_tasks ~workers ~oversubscribe:true ~chunk ~context:"test" n (fun i ->
+              ran.(i) <- true;
+              if List.mem i failing then raise (Task_failed i))
+        with
+        | _ -> None
+        | exception Task_failed i -> Some i
+      in
+      let label = Printf.sprintf "workers %d chunk %d" workers chunk in
+      Alcotest.(check (option int)) (label ^ ": lowest failure") (Some 7) raised;
+      for i = 0 to 6 do
+        Alcotest.(check bool) (Printf.sprintf "%s: index %d ran" label i) true ran.(i)
+      done)
+    [ (1, 1); (2, 1); (3, 2); (4, 3); (5, 8) ]
+
+let test_run_tasks_pool_size () =
+  let hw = Domain.recommended_domain_count () in
+  List.iter
+    (fun (workers, oversubscribe, n, want) ->
+      let _, busy = Par_kernel.run_tasks ~workers ~oversubscribe ~context:"test" n (fun i -> i) in
+      Alcotest.(check int)
+        (Printf.sprintf "workers %d oversubscribe %b n %d" workers oversubscribe n)
+        want (Array.length busy);
+      Alcotest.(check int) "pool_size agrees" want
+        (Par_kernel.pool_size ~workers ~oversubscribe n))
+    [
+      (1, false, 10, 1);
+      (3, true, 10, 3);
+      (6, true, 4, 4);
+      (4, true, 0, 1);
+      (hw + 2, false, 100, hw);
+      (2, false, 100, min 2 hw);
+    ]
+
+let test_run_tasks_serial_on_caller () =
+  let caller = Domain.self () in
+  let doms, busy =
+    Par_kernel.run_tasks ~workers:1 ~chunk:3 ~context:"test" 12 (fun _ -> Domain.self ())
+  in
+  Alcotest.(check int) "one worker" 1 (Array.length busy);
+  Array.iter (fun d -> Alcotest.(check bool) "ran on the calling domain" true (d = caller)) doms
+
+let test_run_tasks_nested () =
+  let outer, _ =
+    Par_kernel.run_tasks ~workers:2 ~oversubscribe:true ~context:"test" 4 (fun i ->
+        fst
+          (Par_kernel.run_tasks ~workers:2 ~oversubscribe:true ~context:"test" 5 (fun j ->
+               (10 * i) + j)))
+  in
+  Alcotest.(check (array (array int)))
+    "nested results" (Array.init 4 (fun i -> Array.init 5 (fun j -> (10 * i) + j))) outer
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -214,6 +293,7 @@ let props =
       prop_qr_factor_worker_invariant;
       prop_jacobi_sigma_matches_cyclic;
       prop_svd_worker_invariant;
+      prop_run_tasks_index_order;
     ]
 
 let () =
@@ -222,6 +302,13 @@ let () =
       ("properties", props);
       ( "kernels",
         [ Alcotest.test_case "blocked dot accuracy" `Quick test_dot_blocked_accuracy ] );
+      ( "fork/join",
+        [
+          Alcotest.test_case "lowest-index failure" `Quick test_run_tasks_lowest_failure;
+          Alcotest.test_case "pool size" `Quick test_run_tasks_pool_size;
+          Alcotest.test_case "workers 1 on the caller" `Quick test_run_tasks_serial_on_caller;
+          Alcotest.test_case "nested call" `Quick test_run_tasks_nested;
+        ] );
       ( "qr",
         [
           Alcotest.test_case "apply_q == thin_q" `Quick test_qr_apply_q_matches_thin_q;
