@@ -173,7 +173,7 @@ let () =
     end
   in
   let json = json_of_records records in
-  Util.write_json ~file:"BENCH_adaptive.json" json;
+  Util.write_json ~smoke ~file:"BENCH_adaptive.json" json;
   if not smoke then begin
     (* acceptance gate: >= 3x on the 64-point rc-mesh sweep *)
     let mesh = List.hd records in

@@ -196,7 +196,7 @@ let () =
     end
   in
   let json = json_of_records records in
-  Util.write_json ~file:"BENCH_dense.json" json;
+  Util.write_json ~smoke ~file:"BENCH_dense.json" json;
   if not smoke then begin
     (* acceptance gate: the kernel-layer SVD must be >= 2x the serial
        cyclic reference on the reduction-stage operand *)

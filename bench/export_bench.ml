@@ -188,7 +188,7 @@ let () =
     end
   in
   let json = json_of ~parse ~passive in
-  Util.write_json ~file:"BENCH_export.json" json;
+  Util.write_json ~smoke ~file:"BENCH_export.json" json;
   Printf.eprintf "[export_bench] %s OK: col ratio %.3f, drift %.2e, %.0f elements/s\n%!"
     (if smoke then "smoke" else "full")
     passive.col_solve_ratio passive.roundtrip_drift parse.elements_per_s

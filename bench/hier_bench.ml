@@ -402,7 +402,7 @@ let () =
   let s = scale_case () in
   let c = capacity_case () in
   let json = json_of a s c in
-  Util.write_json ~file:"BENCH_hier.json" json;
+  Util.write_json ~smoke ~file:"BENCH_hier.json" json;
   if assert_multicore && Domain.recommended_domain_count () > 1 && s.s_actual_workers <= 1
   then begin
     Printf.eprintf "[hier_bench] FAIL: multicore host but the pool collapsed to 1 worker\n%!";

@@ -179,7 +179,7 @@ let () =
     end
   in
   let json = json_of_records records in
-  Util.write_json ~file:"BENCH_lyap.json" json;
+  Util.write_json ~smoke ~file:"BENCH_lyap.json" json;
   if not smoke then begin
     (* acceptance gate: low-rank exact TBR must beat the dense baseline
        >= 5x at 1089 states with hsv drift <= 1e-8 (checked above) *)

@@ -230,7 +230,7 @@ let () =
     else run_scenario ~mesh_n:24 ~samples:30 ~warm_jobs:200
   in
   let json = json_of_record r in
-  Util.write_json ~file:"BENCH_serve.json" json;
+  Util.write_json ~smoke ~file:"BENCH_serve.json" json;
   (* acceptance gate: a warm repeat must beat the cold path by 10x on the
      full operand; the smoke operand is tiny, so the gate is relaxed to
      3x there (the invariants above are the real smoke check) *)

@@ -175,7 +175,7 @@ let () =
   in
   let results = [ mesh_result; spiral_result ] in
   let json = json_of_results results in
-  Util.write_json ~file:"BENCH_shift.json" json;
+  Util.write_json ~smoke ~file:"BENCH_shift.json" json;
   (if assert_mc then
      (* the pool must really expand on multicore hosts; the determinism
         check above already ran either way *)

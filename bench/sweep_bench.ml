@@ -193,7 +193,7 @@ let () =
     end
   in
   let json = json_of_records records in
-  Util.write_json ~file:"BENCH_sweep.json" json;
+  Util.write_json ~smoke ~file:"BENCH_sweep.json" json;
   (if assert_mc then
      (* r.workers records the pool size the engine actually ran with *)
      let max_actual = List.fold_left (fun m r -> max m r.workers) 0 records in

@@ -15,9 +15,22 @@ let json_object body =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-(* Write the JSON next to the working directory and echo it, the
-   convention every bench follows. *)
-let write_json ~file json =
+(* Write the JSON and echo it, the convention every bench follows.  A full
+   run writes the tracked [file] in the working directory; a [smoke] run
+   (the CI check) writes under _build/bench-smoke/ instead, so checking
+   the build never rewrites the recorded numbers. *)
+let smoke_dir = Filename.concat "_build" "bench-smoke"
+
+let write_json ~smoke ~file json =
+  let file =
+    if smoke then begin
+      List.iter
+        (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755)
+        [ "_build"; smoke_dir ];
+      Filename.concat smoke_dir file
+    end
+    else file
+  in
   let oc = open_out file in
   output_string oc json;
   close_out oc;

@@ -227,7 +227,7 @@ let () =
     end
   in
   let json = json_of_records records in
-  Util.write_json ~file:"BENCH_variants.json" json;
+  Util.write_json ~smoke ~file:"BENCH_variants.json" json;
   if not smoke then begin
     (* acceptance gate: the compressed pencil must be >= 2x the dense
        state-dimension QR on the projection stage *)

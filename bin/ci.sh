@@ -129,4 +129,9 @@ wait "$SERVE_PID"
 SERVE_PID=""
 if [ -S "$SOCK" ]; then echo "daemon left its socket behind" >&2; exit 1; fi
 
+echo "== tracked bench results untouched (smoke runs write under _build/bench-smoke/)"
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    git diff --exit-code -- 'BENCH_*.json'
+fi
+
 echo "CI OK"

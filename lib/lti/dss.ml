@@ -58,17 +58,13 @@ let apply_a sys (v : Mat.t) =
   | Sparse { a; _ } -> Triplet.mul_dense a v
   | Dense { a; _ } -> Mat.mul a v
 
-(* A reusable factorisation of (sE - A).  Fz is the unboxed complex factor
-   produced by the multi-shift replay — the production path of the
-   sampling engine. *)
-type shifted_factor =
-  | Fs of Shifted.factor * int
-  | Fz of Shifted.zfactor * int
-  | Fd of Cmat.lu * int
+(* A reusable factorisation of (sE - A): the unboxed complex sparse LU for
+   sparse systems, a dense LU for dense ones. *)
+type shifted_factor = Fz of Shifted.zfactor * int | Fd of Cmat.lu * int
 
 let factor_shifted sys (s : Complex.t) =
   match sys with
-  | Sparse { pencil; n; _ } -> Fs (Shifted.factorize pencil s, n)
+  | Sparse { pencil; n; _ } -> Fz (Shifted.factorize pencil s, n)
   | Dense { e; a; _ } ->
       let m = Cmat.axpby_real ~alpha:s e ~beta:{ Complex.re = -1.0; im = 0.0 } a in
       Fd (Cmat.lu m, a.Mat.rows)
@@ -77,9 +73,6 @@ let factor_shifted sys (s : Complex.t) =
    one column per column of R. *)
 let solve_factored f (r : Mat.t) : Complex.t array array =
   match f with
-  | Fs (fact, n) ->
-      assert (r.Mat.rows = n);
-      Shifted.solve_dense fact r
   | Fz (fact, n) ->
       assert (r.Mat.rows = n);
       Shifted.zsolve_dense fact r
@@ -92,9 +85,6 @@ let solve_factored f (r : Mat.t) : Complex.t array array =
 (* Solve (sE - A)^H X = R. *)
 let solve_factored_hermitian f (r : Mat.t) : Complex.t array array =
   match f with
-  | Fs (fact, n) ->
-      assert (r.Mat.rows = n);
-      Shifted.solve_hermitian_dense fact r
   | Fz (fact, n) ->
       assert (r.Mat.rows = n);
       Shifted.zsolve_hermitian_dense fact r
@@ -139,9 +129,6 @@ let multi_factor ms ~hermitian (s : Complex.t) =
 
 let multi_solve_factored f ~hermitian (r : Mat.t) : Complex.t array array =
   match f with
-  | Fs (fact, n) ->
-      assert (r.Mat.rows = n);
-      if hermitian then Shifted.solve_hermitian_dense fact r else Shifted.solve_dense fact r
   | Fz (fact, n) ->
       assert (r.Mat.rows = n);
       if hermitian then Shifted.zsolve_hermitian_dense fact r else Shifted.zsolve_dense fact r

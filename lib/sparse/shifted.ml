@@ -10,35 +10,12 @@ let pencil ~e ~a =
   assert (re <= n && ce <= n && ra <= n && ca <= n);
   { e; a; n }
 
-type factor = Sparse_lu.C.factor
-
-(* Factor (s E - A). *)
-let factorize ?(ordering = Ordering.Rcm) (p : pencil) (s : Complex.t) : factor =
-  let m = Csc.complex_combination ~alpha:s p.e ~beta:{ Complex.re = -1.0; im = 0.0 } p.a in
-  (* pad to n x n in case trailing rows/cols carry no entries *)
-  let m =
-    if m.Csc.C.rows = p.n && m.Csc.C.cols = p.n then m
-    else Csc.C.of_entries p.n p.n (Csc.C.to_entries m)
-  in
-  Sparse_lu.C.factorize ~ordering m
-
-(* ------------------------------------------------------------------ *)
-(* Multi-shift handle: symbolic work shared across all shifts           *)
-(* ------------------------------------------------------------------ *)
-
-(* The nonzero pattern of (sE - A) is the same for every s, so a sweep over
-   many shifts should pay for the pattern assembly (triplet sort + merge),
-   the fill-reducing ordering and the elimination analysis exactly once.
-   [multi] stores the union pattern with separate E and A coefficient
-   planes — the numeric matrix at shift s is just values[k] = s*e[k] - a[k]
-   — plus a template factorisation whose structure every other shift reuses
-   through [Sparse_lu.C.refactorize]. *)
 (* Unboxed complex factor.  A [Complex.t array] is an array of pointers to
-   two-float records, so a replay loop over one pays an allocation per
-   multiply and a cache miss per load; storing the values as parallel
-   re/im float arrays (which OCaml unboxes) makes the per-shift numeric
-   refactorisation allocation-free.  Structure arrays are shared with the
-   template factor. *)
+   two-float records, so a loop over one pays an allocation per multiply
+   and a cache miss per load; storing the values as parallel re/im float
+   arrays (which OCaml unboxes) makes the factorisation, the per-shift
+   replay and the solves allocation-free.  Replayed factors share the
+   structure arrays of the template. *)
 type zfactor = {
   zn : int;
   zl_colptr : int array;
@@ -55,115 +32,327 @@ type zfactor = {
   zq : int array;
 }
 
-let split_complex (a : Complex.t array) =
-  ( Array.map (fun z -> z.Complex.re) a,
-    Array.map (fun z -> z.Complex.im) a )
+let nnz f = f.zl_colptr.(f.zn) + f.zu_colptr.(f.zn) + f.zn
 
-let zfactor_of_factor (f : factor) : zfactor =
-  let r = Sparse_lu.C.raw f in
-  let l_re, l_im = split_complex r.Sparse_lu.C.raw_l_values in
-  let u_re, u_im = split_complex r.Sparse_lu.C.raw_u_values in
-  let d_re, d_im = split_complex r.Sparse_lu.C.raw_u_diag in
+(* Column storage that grows by doubling while the factor is built. *)
+type cols = {
+  mutable idx : int array;
+  mutable re : float array;
+  mutable im : float array;
+  mutable len : int;
+}
+
+let cols_create cap = { idx = Array.make cap 0; re = Array.make cap 0.0; im = Array.make cap 0.0; len = 0 }
+
+(* Make room for one more entry.  Callers then write [idx]/[re]/[im] at
+   [len] themselves: passing the floats to a function would box them. *)
+let cols_reserve c =
+  if c.len = Array.length c.idx then begin
+    let cap = 2 * c.len in
+    let idx = Array.make cap 0 and re = Array.make cap 0.0 and im = Array.make cap 0.0 in
+    Array.blit c.idx 0 idx 0 c.len;
+    Array.blit c.re 0 re 0 c.len;
+    Array.blit c.im 0 im 0 c.len;
+    c.idx <- idx;
+    c.re <- re;
+    c.im <- im
+  end
+
+(* Move a.(root) down the max-heap a.(lo .. stop-1) rooted at [lo]. *)
+let rec sift (a : int array) lo root stop =
+  let child = lo + (2 * (root - lo)) + 1 in
+  if child < stop then begin
+    let child = if child + 1 < stop && a.(child + 1) > a.(child) then child + 1 else child in
+    if a.(child) > a.(root) then begin
+      let t = a.(child) in
+      a.(child) <- a.(root);
+      a.(root) <- t;
+      sift a lo child stop
+    end
+  end
+
+(* In-place heapsort of a.(lo .. hi-1), ascending. *)
+let sort_range (a : int array) lo hi =
+  for start = lo + ((hi - lo) / 2) - 1 downto lo do
+    sift a lo start hi
+  done;
+  for stop = hi - 1 downto lo + 1 do
+    let t = a.(lo) in
+    a.(lo) <- a.(stop);
+    a.(stop) <- t;
+    sift a lo lo stop
+  done
+
+(* Left-looking Gilbert-Peierls LU with partial pivoting, entirely on
+   float planes: the same algorithm, the same operation order and the
+   same tie-breaks as [Sparse_lu.C.factorize ~ordering:(Given q)], so the
+   two produce bitwise-identical factors (the test suite keeps the boxed
+   functor as the oracle).  For each pivot column the reach of A(:, q.(k))
+   in the graph of the finished L columns gives the nonzero pattern in
+   topological order; the numeric solve then runs in time proportional to
+   the flops, the largest remaining entry becomes the pivot, and U columns
+   are sorted into ascending pivot order for the replay. *)
+let zfactorize ~(colptr : int array) ~(rowind : int array) ~(re : float array)
+    ~(im : float array) (q : int array) : zfactor =
+  let n = Array.length q in
+  if Array.length colptr <> n + 1 then invalid_arg "Shifted.zfactorize: colptr does not match q";
+  let q = Ordering.compute (Ordering.Given q) colptr rowind n in
+  let cap = max 16 (2 * Array.length rowind) in
+  let l = cols_create cap and u = cols_create cap in
+  let l_colptr = Array.make (n + 1) 0 and u_colptr = Array.make (n + 1) 0 in
+  let d_re = Array.make n 0.0 and d_im = Array.make n 0.0 in
+  let pinv = Array.make n (-1) in
+  let prow = Array.make n 0 (* pivot position -> original row *) in
+  let xre = Array.make n 0.0 and xim = Array.make n 0.0 in
+  let mark = Array.make n (-1) in
+  let topo = Array.make n 0 and stack = Array.make n 0 and child_pos = Array.make n 0 in
+  for k = 0 to n - 1 do
+    l_colptr.(k) <- l.len;
+    u_colptr.(k) <- u.len;
+    let jcol = q.(k) in
+    (* symbolic: union of the reaches of the rows of A(:, jcol), each DFS
+       appending its nodes in reverse topological order *)
+    let nz = ref 0 in
+    for p = colptr.(jcol) to colptr.(jcol + 1) - 1 do
+      let start = rowind.(p) in
+      if mark.(start) <> k then begin
+        let sp = ref 0 in
+        stack.(0) <- start;
+        mark.(start) <- k;
+        child_pos.(start) <- 0;
+        while !sp >= 0 do
+          let v = stack.(!sp) in
+          let piv = pinv.(v) in
+          let found = ref (-1) in
+          if piv >= 0 then begin
+            let base = l_colptr.(piv) in
+            let clen = l_colptr.(piv + 1) - base in
+            let c = ref child_pos.(v) in
+            while !found < 0 && !c < clen do
+              let r = l.idx.(base + !c) in
+              incr c;
+              if mark.(r) <> k then found := r
+            done;
+            child_pos.(v) <- !c
+          end;
+          if !found >= 0 then begin
+            incr sp;
+            stack.(!sp) <- !found;
+            mark.(!found) <- k;
+            child_pos.(!found) <- 0
+          end
+          else begin
+            topo.(!nz) <- v;
+            incr nz;
+            decr sp
+          end
+        done
+      end
+    done;
+    let nz = !nz in
+    (* scatter the numeric column *)
+    for t = 0 to nz - 1 do
+      xre.(topo.(t)) <- 0.0;
+      xim.(topo.(t)) <- 0.0
+    done;
+    for p = colptr.(jcol) to colptr.(jcol + 1) - 1 do
+      let i = rowind.(p) in
+      xre.(i) <- re.(p);
+      xim.(i) <- im.(p)
+    done;
+    (* sparse triangular solve in topological order *)
+    for t = nz - 1 downto 0 do
+      let i = topo.(t) in
+      let piv = pinv.(i) in
+      if piv >= 0 then begin
+        let xjre = xre.(i) and xjim = xim.(i) in
+        if xjre <> 0.0 || xjim <> 0.0 then
+          for c = l_colptr.(piv) to l_colptr.(piv + 1) - 1 do
+            let r = l.idx.(c) in
+            let lre = l.re.(c) and lim = l.im.(c) in
+            xre.(r) <- xre.(r) -. ((lre *. xjre) -. (lim *. xjim));
+            xim.(r) <- xim.(r) -. ((lre *. xjim) +. (lim *. xjre))
+          done
+      end
+    done;
+    (* partial pivoting among the non-pivotal rows, first maximum wins *)
+    let pivrow = ref (-1) and pivmag = ref 0.0 in
+    for t = 0 to nz - 1 do
+      let i = topo.(t) in
+      if pinv.(i) < 0 then begin
+        let mag = Float.hypot xre.(i) xim.(i) in
+        if mag > !pivmag then begin
+          pivmag := mag;
+          pivrow := i
+        end
+      end
+    done;
+    if !pivrow < 0 || !pivmag = 0.0 then raise (Sparse_lu.C.Singular k);
+    let pivrow = !pivrow in
+    let pre = xre.(pivrow) and pim = xim.(pivrow) in
+    pinv.(pivrow) <- k;
+    prow.(k) <- pivrow;
+    d_re.(k) <- pre;
+    d_im.(k) <- pim;
+    (* pivotal rows go to U, the rest to L divided by the pivot (Smith's
+       division, as Complex.div) *)
+    let big_re = Float.abs pre >= Float.abs pim in
+    let r = if big_re then pim /. pre else pre /. pim in
+    let d = if big_re then pre +. (r *. pim) else pim +. (r *. pre) in
+    for t = 0 to nz - 1 do
+      let i = topo.(t) in
+      let piv = pinv.(i) in
+      if piv >= 0 && piv < k then begin
+        (* values are gathered once the column is sorted *)
+        cols_reserve u;
+        u.idx.(u.len) <- piv;
+        u.len <- u.len + 1
+      end
+      else if i <> pivrow then begin
+        let nre = xre.(i) and nim = xim.(i) in
+        cols_reserve l;
+        l.idx.(l.len) <- i;
+        if big_re then begin
+          l.re.(l.len) <- (nre +. (r *. nim)) /. d;
+          l.im.(l.len) <- (nim -. (r *. nre)) /. d
+        end
+        else begin
+          l.re.(l.len) <- ((r *. nre) +. nim) /. d;
+          l.im.(l.len) <- ((r *. nim) -. nre) /. d
+        end;
+        l.len <- l.len + 1
+      end
+    done;
+    sort_range u.idx u_colptr.(k) u.len;
+    for p = u_colptr.(k) to u.len - 1 do
+      let i = prow.(u.idx.(p)) in
+      u.re.(p) <- xre.(i);
+      u.im.(p) <- xim.(i)
+    done
+  done;
+  l_colptr.(n) <- l.len;
+  u_colptr.(n) <- u.len;
+  (* L rows into pivot coordinates *)
+  for p = 0 to l.len - 1 do
+    l.idx.(p) <- pinv.(l.idx.(p))
+  done;
   {
-    zn = r.Sparse_lu.C.raw_n;
-    zl_colptr = r.Sparse_lu.C.raw_l_colptr;
-    zl_rowind = r.Sparse_lu.C.raw_l_rowind;
-    zl_re = l_re;
-    zl_im = l_im;
-    zu_colptr = r.Sparse_lu.C.raw_u_colptr;
-    zu_rowind = r.Sparse_lu.C.raw_u_rowind;
-    zu_re = u_re;
-    zu_im = u_im;
+    zn = n;
+    zl_colptr = l_colptr;
+    zl_rowind = Array.sub l.idx 0 l.len;
+    zl_re = Array.sub l.re 0 l.len;
+    zl_im = Array.sub l.im 0 l.len;
+    zu_colptr = u_colptr;
+    zu_rowind = Array.sub u.idx 0 u.len;
+    zu_re = Array.sub u.re 0 u.len;
+    zu_im = Array.sub u.im 0 u.len;
     zd_re = d_re;
     zd_im = d_im;
-    zpinv = r.Sparse_lu.C.raw_pinv;
-    zq = r.Sparse_lu.C.raw_q;
+    zpinv = pinv;
+    zq = q;
   }
 
+(* ------------------------------------------------------------------ *)
+(* Multi-shift handle: symbolic work shared across all shifts           *)
+(* ------------------------------------------------------------------ *)
+
+(* The nonzero pattern of (sE - A) is the same for every s, so a sweep over
+   many shifts should pay for the pattern assembly, the fill-reducing
+   ordering and the elimination analysis exactly once.  [multi] stores the
+   union pattern with separate E and A coefficient planes — the numeric
+   matrix at shift s is just values[k] = s*e[k] - a[k] — plus a template
+   factorisation whose structure every other shift replays. *)
 type multi = {
-  n : int;
   colptr : int array;
   rowind : int array;
   e_coef : float array;
   a_coef : float array;
-  q : int array; (* column elimination order, computed once *)
-  template : factor;
-  tz : zfactor; (* unboxed view of the template, replayed per shift *)
+  tz : zfactor; (* the template factor, replayed per shift *)
 }
 
-(* Union pattern of E and A as parallel coefficient arrays (duplicates
-   summed componentwise), mirroring Csc.of_entries assembly. *)
+(* Union pattern of E and A as parallel coefficient arrays.  Two stable
+   counting sorts (by row, then by column) put the entries in column-major
+   order; entries at the same position are summed in the order they were
+   stamped, E's before A's. *)
 let assemble_pattern (p : pencil) =
-  let entries =
-    List.rev_append
-      (List.rev_map (fun (i, j, v) -> (i, j, v, 0.0)) (Triplet.entries p.e))
-      (List.map (fun (i, j, v) -> (i, j, 0.0, v)) (Triplet.entries p.a))
+  let n = p.n in
+  let e_entries = Triplet.entries p.e and a_entries = Triplet.entries p.a in
+  let m = List.length e_entries + List.length a_entries in
+  let ri = Array.make m 0 and cj = Array.make m 0 in
+  let ev = Array.make m 0.0 and av = Array.make m 0.0 in
+  let t = ref 0 in
+  let add (i, j, v) coef =
+    assert (i >= 0 && i < n && j >= 0 && j < n);
+    ri.(!t) <- i;
+    cj.(!t) <- j;
+    coef.(!t) <- v;
+    incr t
   in
-  let arr = Array.of_list entries in
-  Array.iter (fun (i, j, _, _) -> assert (i >= 0 && i < p.n && j >= 0 && j < p.n)) arr;
-  Array.sort
-    (fun (i1, j1, _, _) (i2, j2, _, _) -> if j1 <> j2 then compare j1 j2 else compare i1 i2)
-    arr;
-  let merged = ref [] and count = ref 0 in
+  List.iter (fun entry -> add entry ev) e_entries;
+  List.iter (fun entry -> add entry av) a_entries;
+  let bucket key src dst =
+    let cnt = Array.make (n + 1) 0 in
+    Array.iter (fun t -> cnt.(key.(t) + 1) <- cnt.(key.(t) + 1) + 1) src;
+    for j = 0 to n - 1 do
+      cnt.(j + 1) <- cnt.(j + 1) + cnt.(j)
+    done;
+    Array.iter
+      (fun t ->
+        dst.(cnt.(key.(t))) <- t;
+        cnt.(key.(t)) <- cnt.(key.(t)) + 1)
+      src
+  in
+  let by_row = Array.make m 0 and order = Array.make m 0 in
+  bucket ri (Array.init m Fun.id) by_row;
+  bucket cj by_row order;
+  let colptr = Array.make (n + 1) 0 in
+  let rowind = Array.make m 0 and e_coef = Array.make m 0.0 and a_coef = Array.make m 0.0 in
+  let nnz = ref 0 and last_col = ref (-1) in
   Array.iter
-    (fun (i, j, ev, av) ->
-      match !merged with
-      | (i', j', ev', av') :: rest when i = i' && j = j' ->
-          merged := (i, j, ev +. ev', av +. av') :: rest
-      | _ ->
-          merged := (i, j, ev, av) :: !merged;
-          incr count)
-    arr;
-  let merged = Array.of_list (List.rev !merged) in
-  let nnz = Array.length merged in
-  let colptr = Array.make (p.n + 1) 0 in
-  Array.iter (fun (_, j, _, _) -> colptr.(j + 1) <- colptr.(j + 1) + 1) merged;
-  for j = 0 to p.n - 1 do
+    (fun t ->
+      let k = !nnz - 1 in
+      if k >= 0 && !last_col = cj.(t) && rowind.(k) = ri.(t) then begin
+        e_coef.(k) <- e_coef.(k) +. ev.(t);
+        a_coef.(k) <- a_coef.(k) +. av.(t)
+      end
+      else begin
+        rowind.(!nnz) <- ri.(t);
+        e_coef.(!nnz) <- ev.(t);
+        a_coef.(!nnz) <- av.(t);
+        colptr.(cj.(t) + 1) <- colptr.(cj.(t) + 1) + 1;
+        last_col := cj.(t);
+        incr nnz
+      end)
+    order;
+  for j = 0 to n - 1 do
     colptr.(j + 1) <- colptr.(j + 1) + colptr.(j)
   done;
-  let rowind = Array.make nnz 0 in
-  let e_coef = Array.make nnz 0.0 and a_coef = Array.make nnz 0.0 in
-  Array.iteri
-    (fun k (i, _, ev, av) ->
-      rowind.(k) <- i;
-      e_coef.(k) <- ev;
-      a_coef.(k) <- av)
-    merged;
-  (colptr, rowind, e_coef, a_coef)
+  (colptr, Array.sub rowind 0 !nnz, Array.sub e_coef 0 !nnz, Array.sub a_coef 0 !nnz)
 
-(* The numeric matrix at one shift, on the shared pattern: O(nnz), no
-   sorting, no allocation beyond the values array. *)
-let matrix_at ~n ~colptr ~rowind ~e_coef ~a_coef (s : Complex.t) : Csc.C.t =
-  let nnz = Array.length rowind in
-  let values =
-    Array.init nnz (fun k ->
-        let e = e_coef.(k) and a = a_coef.(k) in
-        { Complex.re = (s.Complex.re *. e) -. a; im = s.Complex.im *. e })
-  in
-  { Csc.C.rows = n; cols = n; colptr; rowind; values }
+(* A fresh pivoting factorisation of (sE - A) on the shared pattern, with
+   the column order [q]. *)
+let factor_at ~colptr ~rowind ~e_coef ~a_coef q (s : Complex.t) =
+  let nnz = Array.length e_coef in
+  let re = Array.make nnz 0.0 and im = Array.make nnz 0.0 in
+  for k = 0 to nnz - 1 do
+    re.(k) <- (s.Complex.re *. e_coef.(k)) -. a_coef.(k);
+    im.(k) <- s.Complex.im *. e_coef.(k)
+  done;
+  zfactorize ~colptr ~rowind ~re ~im q
 
-let prepare ?(ordering = Ordering.Rcm) (p : pencil) ~(template : Complex.t) =
+let prepare ?(ordering = Ordering.Min_degree) (p : pencil) ~(template : Complex.t) =
   let colptr, rowind, e_coef, a_coef = assemble_pattern p in
   let q = Ordering.compute ordering colptr rowind p.n in
-  let m0 = matrix_at ~n:p.n ~colptr ~rowind ~e_coef ~a_coef template in
-  let template = Sparse_lu.C.factorize ~ordering:(Ordering.Given q) m0 in
-  let tz = zfactor_of_factor template in
-  { n = p.n; colptr; rowind; e_coef; a_coef; q; template; tz }
+  let tz = factor_at ~colptr ~rowind ~e_coef ~a_coef q template in
+  { colptr; rowind; e_coef; a_coef; tz }
+
+(* Factor (sE - A) once. *)
+let factorize ?ordering (p : pencil) (s : Complex.t) : zfactor = (prepare ?ordering p ~template:s).tz
 
 (* Reused pivots are declared stale below this magnitude relative to their
    eliminated column; the shift then pays for a fresh pivoting
    factorisation instead of losing accuracy silently. *)
 let refactor_pivot_tol = 1e-10
-
-let refactor (m : multi) (s : Complex.t) : factor =
-  let a =
-    matrix_at ~n:m.n ~colptr:m.colptr ~rowind:m.rowind ~e_coef:m.e_coef ~a_coef:m.a_coef s
-  in
-  try Sparse_lu.C.refactorize ~pivot_tol:refactor_pivot_tol m.template a
-  with Sparse_lu.C.Singular _ ->
-    (* fresh pivot search at this shift; still raises Singular if (sE - A)
-       is genuinely singular *)
-    Sparse_lu.C.factorize ~ordering:(Ordering.Given m.q) a
 
 (* ------------------------------------------------------------------ *)
 (* Unboxed per-shift replay and solves                                   *)
@@ -266,13 +455,9 @@ let zreplay (m : multi) (s : Complex.t) : zfactor =
 let refactor_z (m : multi) (s : Complex.t) : zfactor =
   try zreplay m s
   with Stale_pivot ->
-    (* fresh pivot search at this shift, then back to the unboxed form;
-       still raises Sparse_lu.C.Singular if (sE - A) is genuinely
-       singular *)
-    let a =
-      matrix_at ~n:m.n ~colptr:m.colptr ~rowind:m.rowind ~e_coef:m.e_coef ~a_coef:m.a_coef s
-    in
-    zfactor_of_factor (Sparse_lu.C.factorize ~ordering:(Ordering.Given m.q) a)
+    (* fresh pivot search at this shift; still raises
+       Sparse_lu.C.Singular if (sE - A) is genuinely singular *)
+    factor_at ~colptr:m.colptr ~rowind:m.rowind ~e_coef:m.e_coef ~a_coef:m.a_coef m.tz.zq s
 
 (* Forward/backward substitution on the unboxed factor for one real
    right-hand-side column, into the caller's float workspaces. *)
@@ -393,21 +578,3 @@ let zsolve_hermitian_dense (f : zfactor) (b : Pmtbr_la.Mat.t) : Complex.t array 
         x.(i) <- { Complex.re = wre.(f.zpinv.(i)); im = -.wim.(f.zpinv.(i)) }
       done;
       x)
-
-(* Solve (sE - A) X = B for a dense real B; returns the complex columns. *)
-let solve_dense (f : factor) (b : Pmtbr_la.Mat.t) =
-  let n = b.Pmtbr_la.Mat.rows in
-  Array.init b.Pmtbr_la.Mat.cols (fun j ->
-      let rhs = Array.init n (fun i -> { Complex.re = Pmtbr_la.Mat.get b i j; im = 0.0 }) in
-      Sparse_lu.C.solve_vec f rhs)
-
-(* Solve (sE - A)^H X = B, used for the observability samples of the
-   cross-Gramian method: (sE - A)^H = conj(s) E^T - A^T for real E, A. *)
-let solve_hermitian_dense (f : factor) (b : Pmtbr_la.Mat.t) =
-  let n = b.Pmtbr_la.Mat.rows in
-  Array.init b.Pmtbr_la.Mat.cols (fun j ->
-      let rhs = Array.init n (fun i -> { Complex.re = Pmtbr_la.Mat.get b i j; im = 0.0 }) in
-      (* (sE-A)^H x = b  <=>  conj((sE-A)^T conj(x)) = b *)
-      let rhs_conj = Array.map Complex.conj rhs in
-      let y = Sparse_lu.C.solve_transposed_vec f rhs_conj in
-      Array.map Complex.conj y)

@@ -58,10 +58,9 @@ module type S = sig
       step.  U columns are stored in ascending pivot order. *)
 
   val raw : factor -> raw
-  (** Read-only structural view sharing the factor's arrays (no copies) —
-      the entry point for specialised kernels such as the unboxed complex
-      refactorisation in {!Shifted}.  Mutating the arrays corrupts the
-      factor. *)
+  (** Read-only structural view sharing the factor's arrays (no copies);
+      the test suite compares {!Shifted.zfactorize} against it field by
+      field.  Mutating the arrays corrupts the factor. *)
 
   val nnz : factor -> int
   (** Nonzeros in L + U (including the unit diagonal), a fill measure. *)
